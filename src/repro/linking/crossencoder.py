@@ -18,6 +18,7 @@ import numpy as np
 from ..kb.entity import Entity, EntityMentionPair, Mention
 from ..nn import Adam, Linear, Module, Tensor, TransformerEncoder, clip_grad_norm, concatenate, no_grad
 from ..nn import functional as F
+from ..nn.tensor import is_grad_enabled
 from ..text.normalization import normalize_text, simple_tokenize, strip_disambiguation
 from ..text.tokenizer import Tokenizer
 from ..text.vocab import SEP_TOKEN
@@ -34,9 +35,9 @@ NUM_LEXICAL_FEATURES = 3
 # head from ignoring them early in training.
 LEXICAL_FEATURE_SCALE = 5.0
 
-# Batched reranking pushes (mention, candidate) rows through the encoder in
-# chunks of this many rows: large enough to amortise per-call overhead, small
-# enough that the attention temporaries stay cache-resident.
+# Scoring pushes (mention, candidate) rows through the encoder in chunks of
+# this many rows: large enough to amortise per-call overhead, small enough
+# that the attention temporaries stay cache-resident.
 MAX_FORWARD_ROWS = 128
 
 # Capacity of the per-entity token/feature caches; beyond this the oldest
@@ -54,6 +55,29 @@ def _cache_put(cache: Dict, key: str, value) -> None:
     if key not in cache and len(cache) >= ENTITY_CACHE_CAPACITY:
         del cache[next(iter(cache))]
     cache[key] = value
+
+
+def _distinct_rows(ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(distinct, inverse)`` with ``distinct[inverse]`` equal to ``ids``.
+
+    Each row is viewed as one opaque byte string so ``np.unique`` compares
+    whole rows in a single 1-D sort.
+    """
+    ids = np.ascontiguousarray(ids)
+    rows = ids.view(np.dtype((np.void, ids.dtype.itemsize * ids.shape[1]))).ravel()
+    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    return ids[first], inverse.reshape(-1)
+
+
+def _row_chunks(count: int) -> List[slice]:
+    """Slices of at most :data:`MAX_FORWARD_ROWS` rows covering ``count``
+    rows; a single empty slice when ``count`` is 0."""
+    starts = range(0, max(count, 1), MAX_FORWARD_ROWS)
+    return [slice(start, start + MAX_FORWARD_ROWS) for start in starts]
+
+
+def _join(chunks: List[Tensor]) -> Tensor:
+    return chunks[0] if len(chunks) == 1 else concatenate(chunks, axis=0)
 
 
 def _jaccard(left: frozenset, right: frozenset) -> float:
@@ -144,12 +168,36 @@ class CrossEncoder(Module):
     # Scoring
     # ------------------------------------------------------------------
     def scores_from_ids(self, cross_ids: np.ndarray, features: Optional[np.ndarray] = None) -> Tensor:
-        """Scalar score for each row of concatenated mention/candidate ids."""
-        pooled = self.encoder.encode(cross_ids)
+        """Scalar score for each row of concatenated mention/candidate ids.
+
+        ``features`` holds the scaled lexical features of each row (zeros
+        when omitted).  The encoder runs in chunks of
+        :data:`MAX_FORWARD_ROWS` rows.
+
+        With gradients off in eval mode, each distinct id row is encoded
+        once and its pooled vector is shared by every row that repeats it;
+        the lexical features and the score head still apply per row.
+        Rerank batches repeat rows whenever a mention's prefix fills the
+        window or a mention recurs.  With gradients on, or in training mode
+        (dropout draws a separate mask per row), every row is encoded.
+        """
+        cross_ids = np.asarray(cross_ids, dtype=np.int64)
         if features is None:
             features = np.zeros((len(cross_ids), NUM_LEXICAL_FEATURES))
-        combined = concatenate([pooled, Tensor(np.asarray(features, dtype=np.float64))], axis=1)
-        return self.score_head(combined).reshape(len(cross_ids))
+        features = np.asarray(features, dtype=np.float64)
+        if is_grad_enabled() or self.training:
+            return _join([
+                self._score_rows(self.encoder.encode(cross_ids[rows]), features[rows])
+                for rows in _row_chunks(len(cross_ids))
+            ])
+        distinct, inverse = _distinct_rows(cross_ids)
+        pooled = _join([self.encoder.encode(distinct[rows]) for rows in _row_chunks(len(distinct))])
+        return self._score_rows(pooled[inverse], features)
+
+    def _score_rows(self, pooled: Tensor, features: np.ndarray) -> Tensor:
+        """Score head over pooled encodings joined with lexical features."""
+        combined = concatenate([pooled, Tensor(features)], axis=1)
+        return self.score_head(combined).reshape(len(features))
 
     def _entity_suffix_ids(self, entity: Entity) -> List[int]:
         """Cached ``<sep> title <sep> description`` id suffix for one entity."""
@@ -263,11 +311,7 @@ class CrossEncoder(Module):
 
     def score_candidates(self, mention: Mention, candidates: Sequence[Entity]) -> np.ndarray:
         """Inference-time candidate scores for one mention."""
-        ids = self._cross_input_ids(mention, candidates)
-        features = self._candidate_features(mention, candidates)
-        self.eval()
-        with no_grad():
-            return self.scores_from_ids(ids, features).data.copy()
+        return self.score_candidate_batch([mention], [candidates])[0]
 
     def rank(self, mention: Mention, candidates: Sequence[Entity]) -> List[Entity]:
         """Candidates sorted by decreasing score."""
@@ -290,10 +334,11 @@ class CrossEncoder(Module):
         candidate_lists: Sequence[Sequence[Entity]],
         mention_tokens: Optional[Sequence[object]] = None,
     ) -> List[np.ndarray]:
-        """Candidate scores for many mentions in one encoder forward pass.
+        """Candidate scores for many mentions in one :meth:`scores_from_ids` call.
 
         All ``(mention, candidate)`` rows are concatenated into a single id
-        matrix and scored together (in :data:`MAX_FORWARD_ROWS` chunks) — the
+        matrix and scored together in eval mode without gradients, so each
+        distinct id row is encoded once (see :meth:`scores_from_ids`) — the
         vectorized rerank stage of the serving pipeline.  Returns one score
         array per mention, aligned with its candidate list (empty array for
         an empty list).
@@ -339,18 +384,7 @@ class CrossEncoder(Module):
         features = np.concatenate(feature_blocks, axis=0)
         self.eval()
         with no_grad():
-            if len(ids) <= MAX_FORWARD_ROWS:
-                flat_scores = self.scores_from_ids(ids, features).data.copy()
-            else:
-                flat_scores = np.concatenate(
-                    [
-                        self.scores_from_ids(
-                            ids[start:start + MAX_FORWARD_ROWS],
-                            features[start:start + MAX_FORWARD_ROWS],
-                        ).data
-                        for start in range(0, len(ids), MAX_FORWARD_ROWS)
-                    ]
-                )
+            flat_scores = self.scores_from_ids(ids, features).data.copy()
 
         scores: List[np.ndarray] = []
         offset = 0
@@ -387,21 +421,6 @@ class CrossEncoder(Module):
         features = self._candidate_features(example.mention, example.candidates)
         scores = self.scores_from_ids(ids, features).reshape(1, len(example.candidates))
         return F.cross_entropy(scores, [example.gold_index], reduction="sum")
-
-    def _graph_scores_flat(self, ids: np.ndarray, features: np.ndarray) -> Tensor:
-        """Scores for all rows with autodiff, chunked at MAX_FORWARD_ROWS."""
-        if len(ids) <= MAX_FORWARD_ROWS:
-            return self.scores_from_ids(ids, features)
-        return concatenate(
-            [
-                self.scores_from_ids(
-                    ids[start:start + MAX_FORWARD_ROWS],
-                    features[start:start + MAX_FORWARD_ROWS],
-                )
-                for start in range(0, len(ids), MAX_FORWARD_ROWS)
-            ],
-            axis=0,
-        )
 
     def prepare_examples_loss(self, examples: Sequence[RankingExample]):
         """Tokenize ranking examples once; return a loss-evaluating closure.
@@ -447,7 +466,7 @@ class CrossEncoder(Module):
         inverse_order = np.argsort(np.array(grouped_order))
 
         def run(reduction: str = "mean", sample_weights: Optional[np.ndarray] = None):
-            flat_scores = self._graph_scores_flat(ids, features)
+            flat_scores = self.scores_from_ids(ids, features)
             chunks = [
                 F.cross_entropy(
                     flat_scores[rows].reshape(size, count), golds, reduction="none"

@@ -6,8 +6,9 @@ import pytest
 from repro.data import pairs_from_mentions, split_domain
 from repro.generation import build_exact_match_data
 from repro.linking import CrossEncoder
-from repro.linking.crossencoder import build_ranking_examples
+from repro.linking.crossencoder import MAX_FORWARD_ROWS, build_ranking_examples
 from repro.meta import MetaCrossEncoderTrainer, few_shot_seed
+from repro.nn import no_grad
 from repro.utils.config import CrossEncoderConfig, EncoderConfig, MetaConfig
 
 ENC = EncoderConfig(model_dim=16, num_layers=1, num_heads=2, hidden_dim=32, max_length=32)
@@ -111,6 +112,52 @@ class TestExamplesLoss:
         model, examples, _ = ranking_data
         with pytest.raises(ValueError, match="unknown reduction"):
             model.examples_loss(examples[:2], reduction="median")
+
+
+class TestScoresFromIdsEncodedRows:
+    """Which rows ``scores_from_ids`` hands to ``encoder.encode``."""
+
+    @pytest.fixture()
+    def spied(self, ranking_data, tiny_tokenizer, monkeypatch):
+        _, examples, _ = ranking_data
+        model = CrossEncoder(CX_CFG, tiny_tokenizer)
+        base = np.concatenate([model._cross_input_ids(e.mention, e.candidates) for e in examples[:2]])
+        # Every row repeated, and enough rows to cross a chunk boundary.
+        ids = np.tile(base, (MAX_FORWARD_ROWS // len(base) + 2, 1))
+        encoded = []
+        encode = model.encoder.encode
+
+        def spy(token_ids):
+            encoded.append(len(token_ids))
+            return encode(token_ids)
+
+        monkeypatch.setattr(model.encoder, "encode", spy)
+        return model, ids, len(np.unique(base, axis=0)), encoded
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_grad_enabled_encodes_every_row_in_fixed_chunks(self, spied, training):
+        # Training draws a dropout mask per row and the meta-reweighter takes
+        # gradients in eval mode: both need the per-row forward unchanged.
+        model, ids, _, encoded = spied
+        model.train(training)
+        model.scores_from_ids(ids).sum().backward()
+        full, rest = divmod(len(ids), MAX_FORWARD_ROWS)
+        assert encoded == [MAX_FORWARD_ROWS] * full + ([rest] if rest else [])
+
+    def test_training_mode_without_grad_encodes_every_row(self, spied):
+        model, ids, _, encoded = spied
+        model.train()
+        with no_grad():
+            model.scores_from_ids(ids)
+        assert sum(encoded) == len(ids)
+
+    def test_inference_encodes_each_distinct_row_once(self, spied):
+        model, ids, distinct, encoded = spied
+        model.eval()
+        with no_grad():
+            scores = model.scores_from_ids(ids).data
+        assert encoded == [distinct]
+        assert scores.shape == (len(ids),)
 
 
 class TestMetaCrossEncoderTrainer:

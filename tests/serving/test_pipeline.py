@@ -1,16 +1,23 @@
 """Tests for the batched serving pipeline (repro.serving)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.data import split_domain
 from repro.linking import BlinkPipeline, CrossEncoder
+from repro.linking.crossencoder import MAX_FORWARD_ROWS
+from repro.nn import Tensor, concatenate, no_grad
 from repro.serving import EntityLinkingPipeline, LinkingResult
 from repro.utils.config import BiEncoderConfig, CrossEncoderConfig, EncoderConfig
 
 ENC = EncoderConfig(model_dim=16, num_layers=1, num_heads=2, hidden_dim=32, max_length=32)
 BI_CFG = BiEncoderConfig(encoder=ENC, epochs=1, batch_size=8, learning_rate=5e-3)
 CX_CFG = CrossEncoderConfig(encoder=ENC, epochs=1, batch_size=4, num_candidates=3, learning_rate=5e-3)
+# A window the mention-in-context prefix always fills: every row of a mention
+# is then the same id sequence, whatever the candidate.
+NARROW_CX_CFG = dataclasses.replace(CX_CFG, encoder=dataclasses.replace(ENC, max_length=6))
 
 
 @pytest.fixture(scope="module")
@@ -147,6 +154,68 @@ class TestBatchedEncoders:
                 continue
             single = model.score_candidates(mention, candidates)
             assert np.allclose(scores, single, atol=1e-9)
+        self._assert_matches_reference(model, mentions[:3], candidate_lists)
+
+    @staticmethod
+    def _distinct_row_count(model, mentions, candidate_lists):
+        ids = np.concatenate([model._cross_input_ids(m, c) for m, c in zip(mentions, candidate_lists)])
+        return len(ids), len(np.unique(ids, axis=0))
+
+    @staticmethod
+    def _reference_scores(model, mentions, candidate_lists):
+        """Scores without deduplication: ``encoder.encode`` on every row, then the head."""
+        model.eval()
+        scores = []
+        with no_grad():
+            for mention, candidates in zip(mentions, candidate_lists):
+                pooled = model.encoder.encode(model._cross_input_ids(mention, candidates))
+                features = Tensor(model._candidate_features(mention, candidates))
+                combined = concatenate([pooled, features], axis=1)
+                scores.append(model.score_head(combined).data.reshape(-1))
+        return scores
+
+    def _assert_matches_reference(self, model, mentions, candidate_lists):
+        batch_scores = model.score_candidate_batch(mentions, candidate_lists)
+        reference = self._reference_scores(model, mentions, candidate_lists)
+        for scores, expected in zip(batch_scores, reference):
+            np.testing.assert_allclose(scores, expected, rtol=0, atol=1e-12)
+            if len(expected):
+                assert int(np.argmax(scores)) == int(np.argmax(expected))
+
+    def test_dedup_matches_reference_when_prefix_fills_window(self, serving_setup, tiny_tokenizer):
+        _, entities, mentions = serving_setup
+        model = CrossEncoder(NARROW_CX_CFG, tiny_tokenizer)
+        candidate_lists = [entities for _ in mentions]
+        rows, distinct = self._distinct_row_count(model, mentions, candidate_lists)
+        assert rows == len(entities) * len(mentions)
+        assert distinct <= len(mentions)
+        self._assert_matches_reference(model, mentions, candidate_lists)
+
+    def test_dedup_matches_reference_for_repeated_mention(self, serving_setup, tiny_tokenizer):
+        _, entities, mentions = serving_setup
+        model = CrossEncoder(CX_CFG, tiny_tokenizer)
+        batch = [mentions[0], mentions[1], mentions[0]]
+        candidate_lists = [entities[:6], entities[3:9], entities[:6]]
+        rows, distinct = self._distinct_row_count(model, batch, candidate_lists)
+        assert distinct <= rows - 6
+        self._assert_matches_reference(model, batch, candidate_lists)
+
+    def test_dedup_matches_reference_for_distinct_rows(self, serving_setup, tiny_tokenizer):
+        _, entities, mentions = serving_setup
+        model = CrossEncoder(CX_CFG, tiny_tokenizer)
+        short = [dataclasses.replace(m, context_left="", context_right="") for m in mentions[:3]]
+        candidate_lists = [entities[:8] for _ in short]
+        rows, distinct = self._distinct_row_count(model, short, candidate_lists)
+        assert distinct == rows
+        self._assert_matches_reference(model, short, candidate_lists)
+
+    def test_dedup_matches_reference_across_chunk_boundary(self, serving_setup, tiny_tokenizer):
+        _, entities, mentions = serving_setup
+        model = CrossEncoder(CX_CFG, tiny_tokenizer)
+        candidate_lists = [entities for _ in mentions]
+        _, distinct = self._distinct_row_count(model, mentions, candidate_lists)
+        assert distinct > MAX_FORWARD_ROWS
+        self._assert_matches_reference(model, mentions, candidate_lists)
 
     def test_crossencoder_predict_batch(self, serving_setup, tiny_tokenizer):
         blink, entities, mentions = serving_setup
