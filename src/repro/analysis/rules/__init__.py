@@ -5,6 +5,7 @@ Importing this package registers every rule with
 import, so ``registered_rules()`` is always fully populated.
 """
 
+from .autograd import BackwardGradInplaceRule
 from .bounded_wait import BoundedWaitRule
 from .dtype import InferenceDtypeRule
 from .futures import FutureHygieneRule
@@ -19,6 +20,7 @@ from .markers import PytestMarkerDeclaredRule
 from .threading_rules import LockDisciplineRule, ThreadLocalStateRule
 
 __all__ = [
+    "BackwardGradInplaceRule",
     "BoundedWaitRule",
     "InferenceDtypeRule",
     "FutureHygieneRule",

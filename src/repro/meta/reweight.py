@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -88,21 +88,6 @@ def normalize_weights(raw: np.ndarray) -> np.ndarray:
     if total <= 0.0:
         return clipped  # all-zero weights: the batch is skipped by callers
     return clipped / total
-
-
-def _graph_tensors(root: Tensor) -> List[Tensor]:
-    """Every tensor reachable from ``root`` through recorded parents."""
-    nodes: List[Tensor] = []
-    seen: set = set()
-    stack: List[Tensor] = [root]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        nodes.append(node)
-        stack.extend(node._parents)
-    return nodes
 
 
 class ExampleReweighter:
@@ -196,22 +181,19 @@ class ExampleReweighter:
         block_size = max(1, int(block_size))
         dots = np.zeros(len(synthetic_pairs))
         with self._probe_mode():
-            self.model.zero_grad()
             for start in range(0, len(synthetic_pairs), block_size):
                 block = list(synthetic_pairs[start:start + block_size])
                 probe = self._prepare_probe(block)
                 losses = probe(reduction="none")
-                nodes = _graph_tensors(losses)
                 seed = np.zeros(len(block))
                 for offset in range(len(block)):
-                    for node in nodes:
-                        node.grad = None
+                    # backward() releases interior gradients, so only the
+                    # parameters carry anything over from the last example.
+                    self.model.zero_grad()
                     seed[:] = 0.0
                     seed[offset] = 1.0
                     losses.backward(seed)
                     dots[start + offset] = float(self.model.gradient_vector() @ seed_gradient)
-                for node in nodes:
-                    node.grad = None
             self.model.zero_grad()
         return dots
 

@@ -8,7 +8,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from . import functional as F
 from .layers import Dropout, Linear
 from .module import Module
 from .tensor import Tensor
@@ -120,12 +119,10 @@ class MultiHeadAttention(Module):
 
     def _attend(self, q: Tensor, k, v, bias: Optional[np.ndarray]) -> Tensor:
         """Score / softmax / weight-sum / merge / output-project."""
-        scores = q.matmul(k) * (1.0 / math.sqrt(self.head_dim))
-        if bias is not None:
-            # Additive -1e9 bias broadcasts over the head/query axes, so no
-            # (batch, heads, query, key) mask is ever materialised.
-            scores = scores + bias
-        weights = F.softmax(scores, axis=-1)
+        # Additive -1e9 bias broadcasts over the head/query axes, so no
+        # (batch, heads, query, key) mask is ever materialised; the fused op
+        # scales, biases and normalises the scores in one buffer.
+        weights = q.matmul(k).scaled_softmax(1.0 / math.sqrt(self.head_dim), bias)
         weights = self.dropout(weights)
         attended = weights.matmul(v)
         return self.out_proj(self._merge_heads(attended))

@@ -4,7 +4,8 @@ This module provides the :class:`Tensor` class used by every neural model in
 the reproduction (bi-encoder, cross-encoder, seq2seq rewriter).  It follows a
 define-by-run design: each operation records its parents and a backward
 closure, and :meth:`Tensor.backward` runs a topological sweep that accumulates
-gradients into ``Tensor.grad``.
+gradients into ``Tensor.grad``: leaves keep theirs, interior nodes' are
+released as soon as their closure has used them.
 
 The engine intentionally supports only what the paper's models need:
 broadcasted elementwise arithmetic, matrix multiplication, reductions,
@@ -450,6 +451,34 @@ class Tensor:
 
         return self._make(out_data, (self,), backward)
 
+    def scaled_softmax(self, scale: float, bias: Optional[ArrayLike] = None) -> "Tensor":
+        """Fused ``softmax(x * scale + bias)`` over the last axis (attention scores).
+
+        Runs the float operations of the ``__mul__`` → ``__add__`` →
+        :meth:`softmax` composition in the same order, so forward output and
+        input gradient are bit-identical to it, but builds the scaled, biased
+        and normalised scores in one buffer: the graph keeps one array where
+        the composition keeps three.  ``bias`` is a constant (padding or
+        causal ``-1e9`` mask) that must broadcast to ``x``'s shape; it gets
+        no gradient.
+        """
+        scale_data = _as_array(scale)
+        out_data = self.data * scale_data
+        if bias is not None:
+            np.add(out_data, _as_array(bias), out=out_data)
+        out_data -= out_data.max(axis=-1, keepdims=True)
+        np.exp(out_data, out=out_data)
+        out_data /= out_data.sum(axis=-1, keepdims=True)
+
+        def backward(grad: np.ndarray) -> None:
+            if self.requires_grad:
+                local = grad - (grad * out_data).sum(axis=-1, keepdims=True)
+                local *= out_data
+                local *= scale_data
+                self._accumulate(local)
+
+        return self._make(out_data, (self,), backward)
+
     def relu(self) -> "Tensor":
         mask = self.data > 0
         out_data = self.data * mask
@@ -594,20 +623,40 @@ class Tensor:
     # Backward pass
     # ------------------------------------------------------------------
     def _accumulate(self, grad: np.ndarray) -> None:
-        if self.grad is None:
+        """Add ``grad`` into ``self.grad``.
+
+        Leaves (parameters, user tensors) get an owned copy of their first
+        gradient: optimisers, clipping and callers read and replace it, and
+        two leaves fed by one op must not share a buffer.  Interior nodes
+        *borrow* it by reference — it may be the very array a sibling holds
+        (both operands of an add) or a view of one (reshape, transpose),
+        which is why no backward closure writes into the gradient it receives.
+        :meth:`backward` releases the borrowed array once the node's closure
+        has used it.  A second arrival always allocates a fresh sum.
+        """
+        if self.grad is not None:
+            self.grad = self.grad + grad
+        elif self._backward is None:
             self.grad = np.array(grad, dtype=np.float64, copy=True)
         else:
-            self.grad = self.grad + grad
+            self.grad = np.asarray(grad, dtype=np.float64)
 
     def backward(self, grad: Optional[ArrayLike] = None) -> None:
-        """Backpropagate from this tensor through the recorded graph."""
+        """Backpropagate from this tensor through the recorded graph.
+
+        Leaf gradients accumulate across calls; every interior node's
+        ``grad`` is released (set to None) as soon as its closure has run,
+        so a second ``backward()`` over the same graph sends only the new
+        seed down and the leaves receive exactly twice the gradient.
+        """
         if not self.requires_grad:
             raise RuntimeError("backward() called on a tensor that does not require grad")
         if grad is None:
             if self.data.size != 1:
                 raise RuntimeError("backward() without an explicit gradient requires a scalar")
             grad = np.ones_like(self.data)
-        grad = np.asarray(grad, dtype=np.float64)
+        # An owned copy: the caller may rewrite its seed array between calls.
+        grad = np.array(grad, dtype=np.float64, copy=True)
 
         ordering: list[Tensor] = []
         visited: set[int] = set()
@@ -632,6 +681,7 @@ class Tensor:
         for node in reversed(ordering):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                node.grad = None
 
 
 def tensor(data: ArrayLike, requires_grad: bool = False) -> Tensor:

@@ -21,6 +21,7 @@ from repro.analysis import (
 )
 
 EXPECTED_RULES = {
+    "backward-grad-inplace",
     "thread-local-state",
     "lock-discipline",
     "probe-mode-discipline",

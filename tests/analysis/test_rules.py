@@ -464,6 +464,56 @@ class TestInferenceDtype:
 
 
 # ----------------------------------------------------------------------
+# backward-grad-inplace
+# ----------------------------------------------------------------------
+class TestBackwardGradInplace:
+    RULE = "backward-grad-inplace"
+
+    def test_inplace_writes_into_received_grad_flagged(self):
+        findings = lint(
+            """
+            import numpy as np
+
+            class Tensor:
+                def scale(self, factor, mask):
+                    def backward(grad):
+                        grad *= factor
+                        grad[mask] = 0.0
+                        np.multiply(grad, factor, out=grad)
+                        np.copyto(grad, 0.0)
+                        self._accumulate(grad)
+                    return self._make(self.data * factor, (self,), backward)
+            """,
+            NN_PATH, self.RULE,
+        )
+        assert [f.line for f in findings] == [7, 8, 9, 10]
+        assert {f.symbol for f in findings} == {"Tensor.scale.backward"}
+
+    def test_fresh_local_and_method_not_flagged(self):
+        findings = lint(
+            """
+            import numpy as np
+
+            class Tensor:
+                def scale(self, factor, out_data):
+                    def backward(grad):
+                        local = grad - (grad * out_data).sum(axis=-1, keepdims=True)
+                        local *= out_data
+                        local[0] = 0.0
+                        np.multiply(local, factor, out=local)
+                        self._accumulate(local)
+                    return self._make(self.data * factor, (self,), backward)
+
+                def backward(self, grad=None):
+                    grad = np.array(grad, copy=True)
+                    grad *= 1.0
+            """,
+            NN_PATH, self.RULE,
+        )
+        assert findings == []
+
+
+# ----------------------------------------------------------------------
 # future-hygiene
 # ----------------------------------------------------------------------
 class TestFutureHygiene:

@@ -3,7 +3,17 @@
 import numpy as np
 import pytest
 
-from repro.nn import Tensor, concatenate, no_grad, stack_tensors, tensor, zeros
+from repro.nn import (
+    MultiHeadAttention,
+    Tensor,
+    compute_dtype,
+    concatenate,
+    no_grad,
+    stack_tensors,
+    tensor,
+    zeros,
+)
+from repro.nn import functional as F
 
 
 def numeric_gradient(func, value, eps=1e-6):
@@ -205,6 +215,130 @@ class TestReductionsAndShapes:
         stack_tensors([a, b], axis=0).sum().backward()
         assert np.allclose(a.grad, np.ones(3))
         assert np.allclose(b.grad, np.ones(3))
+
+
+class TestGradientOwnership:
+    """Interior gradients are borrowed and released; leaves own theirs."""
+
+    def test_leaves_fed_by_one_add_get_distinct_buffers(self):
+        a = Tensor(np.ones(3), requires_grad=True)
+        b = Tensor(np.ones(3), requires_grad=True)
+        (a + b).backward(np.array([1.0, 2.0, 3.0]))
+        assert not np.shares_memory(a.grad, b.grad)
+        a.grad[0] = 99.0
+        np.testing.assert_array_equal(b.grad, [1.0, 2.0, 3.0])
+
+    def test_mutating_the_seed_after_backward_leaves_leaf_grads_alone(self):
+        a = Tensor(np.ones(3), requires_grad=True)
+        b = Tensor(np.ones(3), requires_grad=True)
+        leaf_root = Tensor(np.ones(3), requires_grad=True)
+        seed = np.zeros(3)
+        seed[0] = 1.0
+        (a + b).reshape(3).backward(seed)
+        leaf_root.backward(seed)
+        # The exact reweighting path rewrites its one-hot seed in place.
+        seed[:] = 0.0
+        seed[1] = 1.0
+        for leaf in (a, b, leaf_root):
+            np.testing.assert_array_equal(leaf.grad, [1.0, 0.0, 0.0])
+
+    def test_interior_grads_released_and_leaves_kept(self):
+        a = Tensor(np.ones(2), requires_grad=True)
+        scaled = a * 3
+        doubled = scaled * 2
+        out = doubled.sum()
+        out.backward()
+        assert scaled.grad is None and doubled.grad is None and out.grad is None
+        np.testing.assert_array_equal(a.grad, [6.0, 6.0])
+
+    def test_second_backward_exactly_doubles_leaf_grad(self):
+        a = Tensor(np.ones(2), requires_grad=True)
+        out = ((a * 3) * 2).sum()
+        out.backward()
+        first = a.grad.copy()
+        out.backward()
+        np.testing.assert_array_equal(a.grad, 2 * first)
+        np.testing.assert_array_equal(a.grad, [12.0, 12.0])
+
+
+def padding_bias(shape, dtype=np.float64):
+    """Additive -1e9 key-padding bias ``(batch, 1, 1, keys)``, last keys padded."""
+    batch, keys = shape[0], shape[-1]
+    padded = np.zeros((batch, keys), dtype=bool)
+    padded[0, -2:] = True
+    padded[-1, -1] = True
+    return np.where(padded, -1e9, 0.0).astype(dtype)[:, None, None, :]
+
+
+class TestScaledSoftmax:
+    """The fused op is bit-identical to ``softmax(x * scale + bias)``."""
+
+    SHAPE = (2, 3, 4, 5)
+    SCALE = 1.0 / np.sqrt(8.0)
+
+    @staticmethod
+    def composed(x, scale, bias):
+        scores = x * scale
+        if bias is not None:
+            scores = scores + bias
+        return F.softmax(scores, axis=-1)
+
+    @pytest.mark.parametrize("padded", [False, True])
+    def test_float64_forward_and_gradient_equal_composition(self, padded):
+        rng = np.random.default_rng(0)
+        data = rng.normal(size=self.SHAPE) * 4.0
+        upstream = rng.normal(size=self.SHAPE)
+        bias = padding_bias(self.SHAPE) if padded else None
+        fused_in = Tensor(data.copy(), requires_grad=True)
+        composed_in = Tensor(data.copy(), requires_grad=True)
+        fused = fused_in.scaled_softmax(self.SCALE, bias)
+        composed = self.composed(composed_in, self.SCALE, bias)
+        fused.backward(upstream)
+        composed.backward(upstream)
+        assert np.array_equal(fused.data, composed.data)
+        assert np.array_equal(fused_in.grad, composed_in.grad)
+
+    @pytest.mark.parametrize("padded", [False, True])
+    def test_float32_no_grad_forward_equals_composition(self, padded):
+        data = np.random.default_rng(1).normal(size=self.SHAPE) * 4.0
+        bias = padding_bias(self.SHAPE, np.float32) if padded else None
+        with no_grad(), compute_dtype("float32"):
+            x = Tensor(data)
+            fused = x.scaled_softmax(self.SCALE, bias)
+            composed = self.composed(x, self.SCALE, bias)
+        assert fused.dtype == np.float32
+        assert np.array_equal(fused.data, composed.data)
+
+    @staticmethod
+    def composed_attention(attention, x, key_padding_mask):
+        """``MultiHeadAttention.forward`` spelled with the unfused chain."""
+        q = attention._split_heads(attention.query_proj(x))
+        k = attention._split_heads(attention.key_proj(x))
+        v = attention._split_heads(attention.value_proj(x))
+        bias = attention.padding_bias(key_padding_mask, dtype=q.data.dtype)
+        scores = q.matmul(k.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(attention.head_dim))
+        weights = F.softmax(scores + bias, axis=-1)
+        return attention.out_proj(attention._merge_heads(weights.matmul(v)))
+
+    def test_attention_on_padded_batch_equals_composition(self):
+        attention = MultiHeadAttention(16, 4, dropout=0.0).eval()
+        data = np.random.default_rng(2).normal(size=(3, 6, 16))
+        mask = np.zeros((3, 6), dtype=bool)
+        mask[0, 4:] = True
+        mask[2, 5:] = True
+        fused_in = Tensor(data.copy(), requires_grad=True)
+        composed_in = Tensor(data.copy(), requires_grad=True)
+        fused = attention(fused_in, key_padding_mask=mask)
+        composed = self.composed_attention(attention, composed_in, mask)
+        assert np.array_equal(fused.data, composed.data)
+        fused.sum().backward()
+        composed.sum().backward()
+        assert np.array_equal(fused_in.grad, composed_in.grad)
+        with no_grad(), compute_dtype("float32"):
+            fused = attention(Tensor(data), key_padding_mask=mask)
+            composed = self.composed_attention(attention, Tensor(data), mask)
+        assert fused.dtype == np.float32
+        assert np.array_equal(fused.data, composed.data)
 
 
 class TestGradMode:
